@@ -1,92 +1,139 @@
-type 'a t = {
-  enc : Buffer.t -> 'a -> unit;
-  dec : string -> int ref -> 'a;
-}
+(* Encoders write into one growable byte buffer through an int cursor;
+   every primitive reserves its worst case once and then stores without
+   bounds checks. Decoders read through a mutable cursor and fill arrays
+   they allocate once the length is known. *)
+type writer = { mutable buf : Bytes.t; mutable len : int }
+type reader = { src : string; mutable pos : int }
+type 'a t = { enc : writer -> 'a -> unit; dec : reader -> 'a }
 
 exception Decode_error of string
 
 let dec_fail msg = raise (Decode_error msg)
 
-(* Dense-array decoders (counter_array) must allocate the logical length,
-   which a sparse encoding legitimately makes much larger than the wire
-   bytes. This cap bounds what a corrupted or adversarial length prefix can
-   make us allocate: 2^24 words ≈ 128 MB, far above any sketch state the
-   library ships. *)
+(* Dense-array decoders (counter_array, sparse_cells) must allocate the
+   logical length, which a sparse encoding legitimately makes much larger
+   than the wire bytes. This cap bounds what a corrupted or adversarial
+   length prefix can make us allocate: 2^24 words ≈ 128 MB, far above any
+   sketch state the library ships. *)
 let max_dense_length = 1 lsl 24
 
+let reserve w n =
+  let need = w.len + n in
+  if need > Bytes.length w.buf then begin
+    let nb = Bytes.create (max need (2 * Bytes.length w.buf)) in
+    Bytes.blit w.buf 0 nb 0 w.len;
+    w.buf <- nb
+  end
+
+let run_enc c v =
+  let w = { buf = Bytes.create 64; len = 0 } in
+  c.enc w v;
+  w
+
 let encode c v =
-  let b = Buffer.create 64 in
-  c.enc b v;
-  Buffer.contents b
+  let w = run_enc c v in
+  Bytes.sub_string w.buf 0 w.len
 
 let decode c s =
-  let pos = ref 0 in
-  let v = c.dec s pos in
-  if !pos <> String.length s then dec_fail "Codec.decode: trailing bytes";
+  let r = { src = s; pos = 0 } in
+  let v = c.dec r in
+  if r.pos <> String.length s then dec_fail "Codec.decode: trailing bytes";
   v
 
-let encoded_bytes c v = String.length (encode c v)
+let encoded_bytes c v = (run_enc c v).len
 
-let read_byte s pos =
-  if !pos >= String.length s then dec_fail "Codec: truncated input";
-  let b = Char.code s.[!pos] in
-  incr pos;
-  b
+let truncated () = dec_fail "Codec: truncated input"
+
+let get_byte r =
+  let p = r.pos in
+  if p >= String.length r.src then truncated ();
+  r.pos <- p + 1;
+  Char.code (String.unsafe_get r.src p)
 
 (* LEB128 varint over the unsigned 63-bit interpretation of the int: [lsr]
    is a logical shift, so negative bit patterns (from zigzag of huge ints)
-   encode and terminate correctly. *)
-let enc_varbits b n =
-  let rec go n =
-    if n >= 0 && n < 0x80 then Buffer.add_char b (Char.chr n)
-    else (
-      Buffer.add_char b (Char.chr (0x80 lor (n land 0x7f)));
-      go (n lsr 7))
-  in
-  go n
+   encode and terminate correctly, in at most 9 bytes. *)
+let max_varint = 9
 
-let enc_uvarint b n =
+(* Caller has reserved [max_varint] bytes. *)
+let put_varbits w n =
+  let b = w.buf and p = ref w.len and n = ref n in
+  while !n land lnot 0x7f <> 0 do
+    Bytes.unsafe_set b !p (Char.unsafe_chr (0x80 lor (!n land 0x7f)));
+    incr p;
+    n := !n lsr 7
+  done;
+  Bytes.unsafe_set b !p (Char.unsafe_chr !n);
+  w.len <- !p + 1
+
+let put_uvarint w n =
   if n < 0 then invalid_arg "Codec.uint: negative";
-  enc_varbits b n
+  put_varbits w n
 
-let dec_uvarint s pos =
-  let rec go shift acc =
-    let byte = read_byte s pos in
-    let acc = acc lor ((byte land 0x7f) lsl shift) in
-    if byte land 0x80 = 0 then acc
-    else if shift >= 63 then dec_fail "Codec: varint too long"
-    else go (shift + 7) acc
-  in
-  go 0 0
+let enc_varbits w n =
+  reserve w max_varint;
+  put_varbits w n
+
+let enc_uvarint w n =
+  reserve w max_varint;
+  put_uvarint w n
+
+let dec_uvarint r =
+  let s = r.src in
+  let len = String.length s in
+  let p = ref r.pos and acc = ref 0 and shift = ref 0 and fin = ref false in
+  while not !fin do
+    if !p >= len then truncated ();
+    let byte = Char.code (String.unsafe_get s !p) in
+    incr p;
+    acc := !acc lor ((byte land 0x7f) lsl !shift);
+    if byte land 0x80 = 0 then fin := true
+    else if !shift >= 63 then dec_fail "Codec: varint too long"
+    else shift := !shift + 7
+  done;
+  r.pos <- !p;
+  !acc
 
 (* A 9-byte varint can set bit 63 and come out negative; every unsigned
    context (values, lengths, deltas) must reject that rather than feed a
    negative into [Array.make] or index arithmetic. *)
-let dec_unonneg s pos =
-  let n = dec_uvarint s pos in
+let dec_unonneg r =
+  let n = dec_uvarint r in
   if n < 0 then dec_fail "Codec: negative unsigned varint";
   n
 
 (* Length prefix for a sequence whose elements each occupy at least one
    byte: a well-formed count can never exceed the bytes left, so cap the
-   [Array.init]/[List.init] allocation by the remaining input. *)
-let dec_count s pos what =
-  let n = dec_unonneg s pos in
-  if n > String.length s - !pos then
+   allocation by the remaining input. *)
+let dec_count r what =
+  let n = dec_unonneg r in
+  if n > String.length r.src - r.pos then
     dec_fail (what ^ ": length prefix exceeds remaining input");
+  n
+
+(* Dense logical length of a sparse encoding, capped before allocation. *)
+let dec_dense_length r ~words_per what =
+  let n = dec_unonneg r in
+  if n > max_dense_length / words_per then
+    dec_fail (what ^ ": dense length exceeds cap");
   n
 
 let zigzag n = (n lsl 1) lxor (n asr 62)
 let unzigzag z = (z lsr 1) lxor (-(z land 1))
 
-let unit = { enc = (fun _ () -> ()); dec = (fun _ _ -> ()) }
+let unit = { enc = (fun _ () -> ()); dec = (fun _ -> ()) }
+
+let enc_byte w c =
+  reserve w 1;
+  Bytes.unsafe_set w.buf w.len (Char.unsafe_chr c);
+  w.len <- w.len + 1
 
 let bool =
   {
-    enc = (fun b v -> Buffer.add_char b (if v then '\001' else '\000'));
+    enc = (fun w v -> enc_byte w (if v then 1 else 0));
     dec =
-      (fun s pos ->
-        match read_byte s pos with
+      (fun r ->
+        match get_byte r with
         | 0 -> false
         | 1 -> true
         | _ -> dec_fail "Codec.bool: bad byte");
@@ -96,234 +143,366 @@ let uint = { enc = enc_uvarint; dec = dec_unonneg }
 
 let int =
   {
-    enc = (fun b n -> enc_varbits b (zigzag n));
-    dec = (fun s pos -> unzigzag (dec_uvarint s pos));
+    enc = (fun w n -> enc_varbits w (zigzag n));
+    dec = (fun r -> unzigzag (dec_uvarint r));
   }
 
-let enc_fixed64 b i64 =
-  for k = 0 to 7 do
-    Buffer.add_char b
-      (Char.chr (Int64.to_int (Int64.shift_right_logical i64 (8 * k)) land 0xff))
-  done
+(* Fixed-width little-endian fields: take the bytes, or fail truncated. *)
+let take r n =
+  let p = r.pos in
+  if n > String.length r.src - p then truncated ();
+  r.pos <- p + n;
+  p
 
-let dec_fixed64 s pos =
-  let acc = ref 0L in
-  for k = 0 to 7 do
-    let byte = read_byte s pos in
-    acc := Int64.logor !acc (Int64.shift_left (Int64.of_int byte) (8 * k))
-  done;
-  !acc
+(* Callers reserve 8 (resp. 4) bytes per value. *)
+let put_float64 w f =
+  Bytes.set_int64_le w.buf w.len (Int64.bits_of_float f);
+  w.len <- w.len + 8
+
+let put_float32 w f =
+  Bytes.set_int32_le w.buf w.len (Int32.bits_of_float f);
+  w.len <- w.len + 4
+
+let get_float64 r = Int64.float_of_bits (String.get_int64_le r.src (take r 8))
+let get_float32 r = Int32.float_of_bits (String.get_int32_le r.src (take r 4))
 
 let float64 =
   {
-    enc = (fun b f -> enc_fixed64 b (Int64.bits_of_float f));
-    dec = (fun s pos -> Int64.float_of_bits (dec_fixed64 s pos));
+    enc =
+      (fun w f ->
+        reserve w 8;
+        put_float64 w f);
+    dec = get_float64;
   }
 
 let float32 =
   {
     enc =
-      (fun b f ->
-        let i32 = Int32.bits_of_float f in
-        for k = 0 to 3 do
-          Buffer.add_char b
-            (Char.chr (Int32.to_int (Int32.shift_right_logical i32 (8 * k)) land 0xff))
-        done);
-    dec =
-      (fun s pos ->
-        let acc = ref 0l in
-        for k = 0 to 3 do
-          let byte = read_byte s pos in
-          acc := Int32.logor !acc (Int32.shift_left (Int32.of_int byte) (8 * k))
-        done;
-        Int32.float_of_bits !acc);
+      (fun w f ->
+        reserve w 4;
+        put_float32 w f);
+    dec = get_float32;
   }
 
 let pair ca cb =
   {
     enc =
-      (fun b (x, y) ->
-        ca.enc b x;
-        cb.enc b y);
+      (fun w (x, y) ->
+        ca.enc w x;
+        cb.enc w y);
     dec =
-      (fun s pos ->
-        let x = ca.dec s pos in
-        let y = cb.dec s pos in
+      (fun r ->
+        let x = ca.dec r in
+        let y = cb.dec r in
         (x, y));
   }
 
 let triple ca cb cc =
   {
     enc =
-      (fun b (x, y, z) ->
-        ca.enc b x;
-        cb.enc b y;
-        cc.enc b z);
+      (fun w (x, y, z) ->
+        ca.enc w x;
+        cb.enc w y;
+        cc.enc w z);
     dec =
-      (fun s pos ->
-        let x = ca.dec s pos in
-        let y = cb.dec s pos in
-        let z = cc.dec s pos in
+      (fun r ->
+        let x = ca.dec r in
+        let y = cb.dec r in
+        let z = cc.dec r in
         (x, y, z));
   }
 
 let option c =
   {
     enc =
-      (fun b -> function
-        | None -> Buffer.add_char b '\000'
+      (fun w -> function
+        | None -> enc_byte w 0
         | Some v ->
-            Buffer.add_char b '\001';
-            c.enc b v);
+            enc_byte w 1;
+            c.enc w v);
     dec =
-      (fun s pos ->
-        match read_byte s pos with
+      (fun r ->
+        match get_byte r with
         | 0 -> None
-        | 1 -> Some (c.dec s pos)
+        | 1 -> Some (c.dec r)
         | _ -> dec_fail "Codec.option: bad tag");
   }
+
+(* [n] elements decoded in wire order into a fresh array. *)
+let dec_fill n dec_elt r =
+  if n = 0 then [||]
+  else begin
+    let a = Array.make n (dec_elt r) in
+    for i = 1 to n - 1 do
+      Array.unsafe_set a i (dec_elt r)
+    done;
+    a
+  end
 
 let array c =
   {
     enc =
-      (fun b a ->
-        enc_uvarint b (Array.length a);
-        Array.iter (c.enc b) a);
-    dec =
-      (fun s pos ->
-        let n = dec_count s pos "Codec.array" in
-        Array.init n (fun _ -> c.dec s pos));
+      (fun w a ->
+        enc_uvarint w (Array.length a);
+        Array.iter (c.enc w) a);
+    dec = (fun r -> dec_fill (dec_count r "Codec.array") c.dec r);
   }
 
 let list c =
   {
     enc =
-      (fun b l ->
-        enc_uvarint b (List.length l);
-        List.iter (c.enc b) l);
+      (fun w l ->
+        enc_uvarint w (List.length l);
+        List.iter (c.enc w) l);
     dec =
-      (fun s pos ->
-        let n = dec_count s pos "Codec.list" in
-        List.init n (fun _ -> c.dec s pos));
+      (fun r ->
+        let n = dec_count r "Codec.list" in
+        let acc = ref [] in
+        for _ = 1 to n do
+          acc := c.dec r :: !acc
+        done;
+        List.rev !acc);
   }
 
-let int_array = array int
-let uint_array = array uint
+(* Varint arrays reserve the worst case for the whole array up front. *)
+let varint_array ~put ~get =
+  {
+    enc =
+      (fun w a ->
+        let n = Array.length a in
+        reserve w (max_varint * (n + 1));
+        put_uvarint w n;
+        for i = 0 to n - 1 do
+          put w (Array.unsafe_get a i)
+        done);
+    dec =
+      (fun r ->
+        let n = dec_count r "Codec.array" in
+        let a = Array.make n 0 in
+        for i = 0 to n - 1 do
+          Array.unsafe_set a i (get r)
+        done;
+        a);
+  }
+
+let int_array =
+  varint_array
+    ~put:(fun w n -> put_varbits w (zigzag n))
+    ~get:(fun r -> unzigzag (dec_uvarint r))
+
+let uint_array = varint_array ~put:put_uvarint ~get:dec_unonneg
 
 let sorted_int_array =
   {
     enc =
-      (fun b a ->
-        enc_uvarint b (Array.length a);
+      (fun w a ->
+        let n = Array.length a in
+        reserve w (max_varint * (n + 1));
+        put_uvarint w n;
         let prev = ref (-1) in
-        Array.iter
-          (fun x ->
-            if x <= !prev then
-              invalid_arg "Codec.sorted_int_array: not strictly increasing";
-            enc_uvarint b (x - !prev - 1);
-            prev := x)
-          a);
+        for i = 0 to n - 1 do
+          let x = Array.unsafe_get a i in
+          if x <= !prev then
+            invalid_arg "Codec.sorted_int_array: not strictly increasing";
+          put_uvarint w (x - !prev - 1);
+          prev := x
+        done);
     dec =
-      (fun s pos ->
-        let n = dec_count s pos "Codec.sorted_int_array" in
+      (fun r ->
+        let n = dec_count r "Codec.sorted_int_array" in
+        let a = Array.make n 0 in
         let prev = ref (-1) in
-        Array.init n (fun _ ->
-            let d = dec_unonneg s pos in
-            prev := !prev + 1 + d;
-            if !prev < 0 then dec_fail "Codec.sorted_int_array: index overflow";
-            !prev));
+        for i = 0 to n - 1 do
+          let d = dec_unonneg r in
+          prev := !prev + 1 + d;
+          if !prev < 0 then dec_fail "Codec.sorted_int_array: index overflow";
+          Array.unsafe_set a i !prev
+        done;
+        a);
   }
 
 let sparse_int_vec =
   {
     enc =
-      (fun b a ->
-        enc_uvarint b (Array.length a);
+      (fun w a ->
+        let n = Array.length a in
+        reserve w (max_varint * ((2 * n) + 1));
+        put_uvarint w n;
         let prev = ref (-1) in
-        Array.iter
-          (fun (k, v) ->
-            if k <= !prev then
-              invalid_arg "Codec.sparse_int_vec: indices not increasing";
-            enc_uvarint b (k - !prev - 1);
-            enc_varbits b (zigzag v);
-            prev := k)
-          a);
+        for i = 0 to n - 1 do
+          let k, v = Array.unsafe_get a i in
+          if k <= !prev then
+            invalid_arg "Codec.sparse_int_vec: indices not increasing";
+          put_uvarint w (k - !prev - 1);
+          put_varbits w (zigzag v);
+          prev := k
+        done);
     dec =
-      (fun s pos ->
-        let n = dec_count s pos "Codec.sparse_int_vec" in
+      (fun r ->
+        let n = dec_count r "Codec.sparse_int_vec" in
         let prev = ref (-1) in
-        Array.init n (fun _ ->
-            let d = dec_unonneg s pos in
-            let v = unzigzag (dec_uvarint s pos) in
+        dec_fill n
+          (fun r ->
+            let d = dec_unonneg r in
+            let v = unzigzag (dec_uvarint r) in
             prev := !prev + 1 + d;
             if !prev < 0 then dec_fail "Codec.sparse_int_vec: index overflow";
-            (!prev, v)));
+            (!prev, v))
+          r);
   }
 
-let float_array = array float64
-let float32_array = array float32
+let fixed_float_array ~width ~put ~get =
+  {
+    enc =
+      (fun w a ->
+        let n = Array.length a in
+        reserve w (max_varint + (width * n));
+        put_uvarint w n;
+        for i = 0 to n - 1 do
+          put w (Array.unsafe_get a i)
+        done);
+    dec =
+      (fun r ->
+        let n = dec_count r "Codec.array" in
+        let a = Array.make n 0.0 in
+        for i = 0 to n - 1 do
+          Array.unsafe_set a i (get r)
+        done;
+        a);
+  }
+
+let float_array = fixed_float_array ~width:8 ~put:put_float64 ~get:get_float64
+
+let float32_array =
+  fixed_float_array ~width:4 ~put:put_float32 ~get:get_float32
 
 let bytes =
   {
     enc =
-      (fun b s ->
-        enc_uvarint b (String.length s);
-        Buffer.add_string b s);
+      (fun w s ->
+        let n = String.length s in
+        reserve w (max_varint + n);
+        put_uvarint w n;
+        Bytes.blit_string s 0 w.buf w.len n;
+        w.len <- w.len + n);
     dec =
-      (fun s pos ->
-        let n = dec_count s pos "Codec.bytes" in
-        let r = String.sub s !pos n in
-        pos := !pos + n;
-        r);
+      (fun r ->
+        let n = dec_count r "Codec.bytes" in
+        String.sub r.src (take r n) n);
   }
 
 let counter_array =
-  let to_sparse a =
-    let out = ref [] in
-    for i = Array.length a - 1 downto 0 do
-      if a.(i) <> 0 then out := (i, a.(i)) :: !out
-    done;
-    (Array.length a, !out)
-  in
-  let of_sparse (len, pairs) =
-    let a = Array.make len 0 in
-    List.iter (fun (i, v) -> a.(i) <- v) pairs;
-    a
-  in
   {
     enc =
-      (fun b a ->
-        let len, pairs = to_sparse a in
-        enc_uvarint b len;
-        enc_uvarint b (List.length pairs);
+      (fun w a ->
+        let len = Array.length a in
+        let nz = ref 0 in
+        for i = 0 to len - 1 do
+          if Array.unsafe_get a i <> 0 then incr nz
+        done;
+        reserve w (max_varint * ((2 * !nz) + 2));
+        put_uvarint w len;
+        put_uvarint w !nz;
         let prev = ref (-1) in
-        List.iter
-          (fun (i, v) ->
-            enc_uvarint b (i - !prev - 1);
-            enc_uvarint b v;
-            prev := i)
-          pairs);
+        for i = 0 to len - 1 do
+          let v = Array.unsafe_get a i in
+          if v <> 0 then begin
+            put_uvarint w (i - !prev - 1);
+            put_uvarint w v;
+            prev := i
+          end
+        done);
     dec =
-      (fun s pos ->
-        let len = dec_unonneg s pos in
-        if len > max_dense_length then
-          dec_fail "Codec.counter_array: dense length exceeds cap";
-        let n = dec_count s pos "Codec.counter_array" in
+      (fun r ->
+        let len = dec_dense_length r ~words_per:1 "Codec.counter_array" in
+        let n = dec_count r "Codec.counter_array" in
+        (* Pairs land in an input-bounded buffer first; the dense array is
+           allocated only once the whole encoding has parsed. *)
+        let pairs = Array.make (2 * n) 0 in
         let prev = ref (-1) in
-        let pairs =
-          List.init n (fun _ ->
-              let d = dec_unonneg s pos in
-              let v = dec_unonneg s pos in
-              prev := !prev + 1 + d;
-              if !prev < 0 || !prev >= len then
-                dec_fail "Codec.counter_array: index beyond dense length";
-              (!prev, v))
+        for k = 0 to n - 1 do
+          let d = dec_unonneg r in
+          let v = dec_unonneg r in
+          prev := !prev + 1 + d;
+          if !prev < 0 || !prev >= len then
+            dec_fail "Codec.counter_array: index beyond dense length";
+          pairs.(2 * k) <- !prev;
+          pairs.((2 * k) + 1) <- v
+        done;
+        let a = Array.make len 0 in
+        for k = 0 to n - 1 do
+          a.(pairs.(2 * k)) <- pairs.((2 * k) + 1)
+        done;
+        a);
+  }
+
+let cell_width = 4
+
+let cell_is_zero a o =
+  Array.unsafe_get a o = 0
+  && Array.unsafe_get a (o + 1) = 0
+  && Array.unsafe_get a (o + 2) = 0
+  && Array.unsafe_get a (o + 3) = 0
+
+let sparse_cells =
+  {
+    enc =
+      (fun w a ->
+        let len = Array.length a in
+        if len mod cell_width <> 0 then
+          invalid_arg "Codec.sparse_cells: length not a multiple of 4";
+        let cells = len / cell_width in
+        let nz = ref 0 in
+        for c = 0 to cells - 1 do
+          if not (cell_is_zero a (cell_width * c)) then incr nz
+        done;
+        reserve w (max_varint * ((5 * !nz) + 2));
+        put_uvarint w cells;
+        put_uvarint w !nz;
+        for c = 0 to cells - 1 do
+          let o = cell_width * c in
+          if not (cell_is_zero a o) then begin
+            put_uvarint w c;
+            put_varbits w (zigzag (Array.unsafe_get a o));
+            put_varbits w (zigzag (Array.unsafe_get a (o + 1)));
+            put_uvarint w (Array.unsafe_get a (o + 2));
+            put_uvarint w (Array.unsafe_get a (o + 3))
+          end
+        done);
+    dec =
+      (fun r ->
+        let cells =
+          dec_dense_length r ~words_per:cell_width "Codec.sparse_cells"
         in
-        of_sparse (len, pairs));
+        let n = dec_count r "Codec.sparse_cells" in
+        (* (index, sum, isum, fp1, fp2) per listed cell, in wire order: a
+           repeated index keeps its last occurrence. *)
+        let listed = Array.make (5 * n) 0 in
+        for k = 0 to n - 1 do
+          let idx = dec_unonneg r in
+          if idx >= cells then
+            dec_fail "Codec.sparse_cells: cell index beyond length";
+          let sum = unzigzag (dec_uvarint r) in
+          let isum = unzigzag (dec_uvarint r) in
+          let fp1 = dec_unonneg r in
+          let fp2 = dec_unonneg r in
+          let o = 5 * k in
+          listed.(o) <- idx;
+          listed.(o + 1) <- sum;
+          listed.(o + 2) <- isum;
+          listed.(o + 3) <- fp1;
+          listed.(o + 4) <- fp2
+        done;
+        let a = Array.make (cell_width * cells) 0 in
+        for k = 0 to n - 1 do
+          let o = 5 * k in
+          Array.blit listed (o + 1) a (cell_width * listed.(o)) cell_width
+        done;
+        a);
   }
 
 let map to_wire of_wire c =
   {
-    enc = (fun b v -> c.enc b (to_wire v));
-    dec = (fun s pos -> of_wire (c.dec s pos));
+    enc = (fun w v -> c.enc w (to_wire v));
+    dec = (fun r -> of_wire (c.dec r));
   }

@@ -5,7 +5,12 @@
     transcript charges the real encoded length. Integers use LEB128
     varints (zigzag for signed values), index lists are delta-coded, floats
     are IEEE 754. Decoding re-parses the bytes, so a protocol can only use
-    information that was actually paid for. *)
+    information that was actually paid for.
+
+    Encoders write straight into one growable byte buffer (each primitive
+    reserves its worst case, then stores), and array decoders fill arrays
+    allocated once their length is known, so the hot sketch-state codecs
+    allocate no per-element tuples, lists or closures. *)
 
 type 'a t
 
@@ -20,9 +25,9 @@ exception Decode_error of string
     safe. *)
 
 val max_dense_length : int
-(** Upper bound (2^24) on the dense logical length a sparse encoding
-    ({!counter_array}) may declare — the one place a length prefix drives
-    an allocation larger than the wire bytes. *)
+(** Upper bound (2^24 words) on the dense logical length a sparse encoding
+    ({!counter_array}, {!sparse_cells}) may declare — the one place a
+    length prefix drives an allocation larger than the wire bytes. *)
 
 val encode : 'a t -> 'a -> string
 val decode : 'a t -> string -> 'a
@@ -79,6 +84,17 @@ val counter_array : int array t
     encoded as (length, nonzero (index, value) pairs). ~2 bytes per
     nonzero entry plus a small header — a large win for sparse states, a
     modest constant overhead for dense ones. *)
+
+val sparse_cells : int array t
+(** Flat arrays of 4-int recovery cells [(sum, isum, fp1, fp2)] — cell [c]
+    at offsets [4c .. 4c+3], the [S_sparse] state layout —
+    that are mostly all-zero. Encoded as (cell count, nonzero cell count,
+    then per nonzero cell: its index, zigzag sum, zigzag isum, fp1, fp2),
+    in increasing cell order. Decoding accepts listed cells in any order (a
+    repeated index keeps its last occurrence) and rejects a cell index at
+    or beyond the declared count, and a count whose 4-word cells exceed
+    {!max_dense_length}. Encoding raises [Invalid_argument] on a length
+    that is not a multiple of 4 or a negative fingerprint. *)
 
 val map : ('a -> 'b) -> ('b -> 'a) -> 'b t -> 'a t
 (** [map to_wire of_wire codec] transports a codec across an isomorphism. *)

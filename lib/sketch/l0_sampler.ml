@@ -116,8 +116,7 @@ let sample t st =
         Option.map (fun (i, v, _) -> (i, v)) best
 
 let wire _t =
-  let rec_codec = Codec.array One_sparse.cells_wire in
   Codec.map
     (fun st -> (st.rec_states, st.l0_state))
     (fun (rec_states, l0_state) -> { rec_states; l0_state })
-    (Codec.pair rec_codec Codec.counter_array)
+    (Codec.pair (Codec.array Codec.sparse_cells) Codec.counter_array)

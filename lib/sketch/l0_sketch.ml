@@ -215,9 +215,12 @@ let add_scaled t ~dst ~coeff src =
   if Array.length dst <> size t || Array.length src <> size t then
     invalid_arg "L0_sketch.add_scaled: size mismatch";
   let c = Field31.of_int coeff in
+  (* Sampler-embedded states are mostly zero counters; adding c·0 is the
+     identity, so skipping them leaves the result bit-identical. *)
   if c <> 0 then
     for i = 0 to size t - 1 do
-      dst.(i) <- Field31.add dst.(i) (Field31.mul c src.(i))
+      let v = Array.unsafe_get src i in
+      if v <> 0 then dst.(i) <- Field31.add dst.(i) (Field31.mul c v)
     done
 
 (* Linear-counting estimate at one level: m ≈ ln(empty/K) / ln(1 - 1/K). *)

@@ -17,8 +17,10 @@
 type t
 (** Immutable specification (hash functions, dimensions). *)
 
-type state = One_sparse.cell array
-(** Mutable sketch contents (one cell per (repetition, bucket)). *)
+type state = int array
+(** Mutable sketch contents: one {!One_sparse} cell per (repetition,
+    bucket), flat — cell [c] occupies offsets [4c .. 4c+3] (sum, isum,
+    fp1, fp2), so a state is a single allocation. *)
 
 val create : Matprod_util.Prng.t -> s:int -> reps:int -> t
 (** [s ≥ 1] sparsity budget; [reps] repetitions (3–4 typical). *)
@@ -33,6 +35,7 @@ val update : t -> state -> int -> int -> unit
 
 val sketch : t -> (int * int) array -> state
 val add_scaled : t -> dst:state -> coeff:int -> state -> unit
+(** dst ← dst + coeff·src, skipping all-zero source cells. *)
 
 type result = Ok of (int * int) list | Fail
 (** [Ok pairs]: the exact nonzero (index, value) pairs, sorted by index.
@@ -41,3 +44,5 @@ type result = Ok of (int * int) list | Fail
 val decode : t -> state -> result
 
 val wire : t -> state Matprod_comm.Codec.t
+(** {!Matprod_comm.Codec.sparse_cells}: the cell count, then only the
+    nonzero cells with their indices. *)

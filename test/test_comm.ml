@@ -4,6 +4,10 @@ module Codec = Matprod_comm.Codec
 module Transcript = Matprod_comm.Transcript
 module Channel = Matprod_comm.Channel
 module Ctx = Matprod_comm.Ctx
+module Prng = Matprod_util.Prng
+module S_sparse = Matprod_sketch.S_sparse
+module L0_sampler = Matprod_sketch.L0_sampler
+module Lp = Matprod_sketch.Lp
 
 let check = Alcotest.check
 
@@ -119,6 +123,35 @@ let test_codec_adversarial_lengths () =
           Buffer.add_string b (Codec.encode Codec.uint 0);
           ignore (Codec.decode Codec.counter_array (Buffer.contents b)) );
     ]
+
+let test_codec_sparse_cells () =
+  let cells = [| 0; 0; 0; 0; 3; -12; 5; 7; 0; 0; 0; 0; -1; 0; 0; 2 |] in
+  check Alcotest.bool "roundtrip" true (roundtrip Codec.sparse_cells cells = cells);
+  check Alcotest.bool "empty" true (roundtrip Codec.sparse_cells [||] = [||]);
+  (* Zero cells cost nothing beyond the two-byte header. *)
+  check Alcotest.int "all zero" 2
+    (Codec.encoded_bytes Codec.sparse_cells (Array.make 400 0));
+  Alcotest.check_raises "ragged"
+    (Invalid_argument "Codec.sparse_cells: length not a multiple of 4")
+    (fun () -> ignore (Codec.encode Codec.sparse_cells [| 1; 2; 3 |]));
+  (* The decoder is total: an out-of-range cell index and a huge declared
+     count are Decode_errors, not Invalid_argument / Out_of_memory. *)
+  let uints l = String.concat "" (List.map (Codec.encode Codec.uint) l) in
+  Alcotest.check_raises "index beyond length"
+    (Codec.Decode_error "Codec.sparse_cells: cell index beyond length")
+    (fun () ->
+      ignore (Codec.decode Codec.sparse_cells (uints [ 2; 1; 2; 2; 0; 0; 0 ])));
+  Alcotest.check_raises "count cap"
+    (Codec.Decode_error "Codec.sparse_cells: dense length exceeds cap")
+    (fun () -> ignore (Codec.decode Codec.sparse_cells (uints [ 1 lsl 40; 0 ])));
+  (* The same bytes through the sketch wires that carry them. *)
+  let t = S_sparse.create (Prng.create 3) ~s:2 ~reps:1 in
+  List.iter
+    (fun bad ->
+      match Codec.decode (S_sparse.wire t) bad with
+      | exception Codec.Decode_error _ -> ()
+      | _ -> Alcotest.fail "S_sparse.wire accepted a malformed state")
+    [ uints [ 2; 1; 2; 2; 0; 0; 0 ]; uints [ 1 lsl 40; 0 ] ]
 
 let test_codec_map () =
   let c = Codec.map (fun s -> String.length s) (fun n -> String.make n 'a') Codec.uint in
@@ -425,11 +458,11 @@ let test_netmodel_zero_loss_unchanged () =
 (* ------------------------------------------------------------------ *)
 (* qcheck properties *)
 
-(* Every exported codec, packed with a generator of valid values so the
-   fuzzers below can also mutate real encodings. *)
-type packed = P : string * 'a QCheck.arbitrary * 'a Codec.t -> packed
+(* Every exported codec, packed with a generator of valid values and the
+   reference combinator codec (Codec_ref) it must match byte for byte. *)
+type oracle = O : string * 'a QCheck.arbitrary * 'a Codec.t * 'a Codec_ref.t -> oracle
 
-let packed_codecs =
+let oracles =
   let open QCheck in
   let nonneg = map (fun n -> n land max_int) int in
   let small = int_bound 10_000 in
@@ -446,36 +479,128 @@ let packed_codecs =
         IM.bindings m |> List.filter (fun (_, v) -> v <> 0) |> Array.of_list)
       (list_of_size Gen.(0 -- 40) (pair small (int_range (-1000) 1000)))
   in
+  (* Flat 4-int cells, about half of them all-zero. *)
+  let cells =
+    map
+      (fun l -> Array.concat (List.map Array.of_list l))
+      (list_of_size
+         Gen.(0 -- 40)
+         (make
+            Gen.(
+              frequency
+                [
+                  (1, return [ 0; 0; 0; 0 ]);
+                  ( 1,
+                    map
+                      (fun (a, b, c, d) -> [ a; b; c; d ])
+                      (quad int int (int_bound 0x7FFFFFFE) (int_bound 0x7FFFFFFE)) );
+                ])))
+  in
   [
-    P ("unit", unit, Codec.unit);
-    P ("bool", bool, Codec.bool);
-    P ("uint", nonneg, Codec.uint);
-    P ("int", int, Codec.int);
-    P ("float64", float, Codec.float64);
-    P ("float32", float, Codec.float32);
-    P ("pair", pair int nonneg, Codec.pair Codec.int Codec.uint);
-    P
+    O ("unit", unit, Codec.unit, Codec_ref.unit);
+    O ("bool", bool, Codec.bool, Codec_ref.bool);
+    O ("uint", nonneg, Codec.uint, Codec_ref.uint);
+    O ("int", int, Codec.int, Codec_ref.int);
+    O ("float64", float, Codec.float64, Codec_ref.float64);
+    O ("float32", float, Codec.float32, Codec_ref.float32);
+    O
+      ( "pair",
+        pair int nonneg,
+        Codec.pair Codec.int Codec.uint,
+        Codec_ref.pair Codec_ref.int Codec_ref.uint );
+    O
       ( "triple",
         triple bool int float,
-        Codec.triple Codec.bool Codec.int Codec.float64 );
-    P ("option", option int, Codec.option Codec.int);
-    P ("list", list_of_size Gen.(0 -- 40) int, Codec.list Codec.int);
-    P ("array", array_of_size Gen.(0 -- 40) nonneg, Codec.array Codec.uint);
-    P ("int_array", array_of_size Gen.(0 -- 60) int, Codec.int_array);
-    P ("uint_array", array_of_size Gen.(0 -- 60) nonneg, Codec.uint_array);
-    P ("sorted_int_array", sorted, Codec.sorted_int_array);
-    P ("sparse_int_vec", sparse, Codec.sparse_int_vec);
-    P ("float_array", array_of_size Gen.(0 -- 40) float, Codec.float_array);
-    P
+        Codec.triple Codec.bool Codec.int Codec.float64,
+        Codec_ref.triple Codec_ref.bool Codec_ref.int Codec_ref.float64 );
+    O ("option", option int, Codec.option Codec.int, Codec_ref.option Codec_ref.int);
+    O
+      ( "list",
+        list_of_size Gen.(0 -- 40) int,
+        Codec.list Codec.int,
+        Codec_ref.list Codec_ref.int );
+    O
+      ( "array",
+        array_of_size Gen.(0 -- 40) nonneg,
+        Codec.array Codec.uint,
+        Codec_ref.array Codec_ref.uint );
+    O ("int_array", array_of_size Gen.(0 -- 60) int, Codec.int_array, Codec_ref.int_array);
+    O
+      ( "uint_array",
+        array_of_size Gen.(0 -- 60) nonneg,
+        Codec.uint_array,
+        Codec_ref.uint_array );
+    O ("sorted_int_array", sorted, Codec.sorted_int_array, Codec_ref.sorted_int_array);
+    O ("sparse_int_vec", sparse, Codec.sparse_int_vec, Codec_ref.sparse_int_vec);
+    O
+      ( "float_array",
+        array_of_size Gen.(0 -- 40) float,
+        Codec.float_array,
+        Codec_ref.float_array );
+    O
       ( "float32_array",
         array_of_size Gen.(0 -- 40) float,
-        Codec.float32_array );
-    P ("bytes", string, Codec.bytes);
-    P
+        Codec.float32_array,
+        Codec_ref.float32_array );
+    O ("bytes", string, Codec.bytes, Codec_ref.bytes);
+    O
       ( "counter_array",
         array_of_size Gen.(0 -- 60) (int_bound 1_000_000),
-        Codec.counter_array );
+        Codec.counter_array,
+        Codec_ref.counter_array );
+    O ("sparse_cells", cells, Codec.sparse_cells, Codec_ref.sparse_cells);
+    O
+      ( "map",
+        array_of_size Gen.(0 -- 40) int,
+        Codec.map Array.to_list Array.of_list (Codec.list Codec.int),
+        Codec_ref.map Array.to_list Array.of_list (Codec_ref.list Codec_ref.int) );
   ]
+
+(* The same codecs for the totality fuzzers, plus the sketch-state wires
+   that carry them over TCP and into journals, with valid states made by
+   sketching random sparse vectors. *)
+type packed = P : string * 'a QCheck.arbitrary * 'a Codec.t -> packed
+
+let sketch_wires =
+  let open QCheck in
+  let vec dim =
+    map
+      (fun l ->
+        let module IM = Map.Make (Int) in
+        let m = List.fold_left (fun m (k, v) -> IM.add k v m) IM.empty l in
+        IM.bindings m |> List.filter (fun (_, v) -> v <> 0) |> Array.of_list)
+      (list_of_size Gen.(0 -- 20) (pair (int_bound (dim - 1)) (int_range (-50) 50)))
+  in
+  let dim = 64 in
+  let ss = S_sparse.create (Prng.create 11) ~s:4 ~reps:2 in
+  let smp = L0_sampler.create (Prng.create 12) ~dim ~s:4 () in
+  let lp0 = Lp.create (Prng.create 13) ~p:0.0 ~eps:0.5 ~groups:2 ~dim in
+  let lp1 = Lp.create (Prng.create 14) ~p:1.0 ~eps:0.5 ~groups:2 ~dim in
+  [
+    P ("s_sparse", map (S_sparse.sketch ss) (vec dim), S_sparse.wire ss);
+    P ("l0_sampler", map (L0_sampler.sketch smp) (vec dim), L0_sampler.wire smp);
+    P ("lp-l0", map (Lp.sketch lp0) (vec dim), Lp.wire lp0);
+    P ("lp-float", map (Lp.sketch lp1) (vec dim), Lp.wire lp1);
+  ]
+
+let packed_codecs =
+  List.map (fun (O (name, arb, c, _)) -> P (name, arb, c)) oracles @ sketch_wires
+
+(* A truncation of an encoding and a copy with one bit flipped. *)
+let mutations e cut bit =
+  let n = String.length e in
+  let truncated = if n = 0 then "" else String.sub e 0 (cut mod n) in
+  let flipped =
+    if n = 0 then e
+    else begin
+      let b = Bytes.of_string e in
+      let pos = bit mod (8 * n) in
+      Bytes.set b (pos / 8)
+        (Char.chr (Char.code (Bytes.get b (pos / 8)) lxor (1 lsl (pos mod 8))));
+      Bytes.to_string b
+    end
+  in
+  [ truncated; flipped ]
 
 (* decode must be total up to Decode_error: any other exception fails the
    property by escaping. *)
@@ -499,21 +624,7 @@ let fuzz_tests =
       ~count:300
       (triple arb small_nat small_nat)
       (fun (v, cut, bit) ->
-        let e = Codec.encode c v in
-        let n = String.length e in
-        let truncated = if n = 0 then "" else String.sub e 0 (cut mod n) in
-        let flipped =
-          if n = 0 then e
-          else begin
-            let b = Bytes.of_string e in
-            let pos = bit mod (8 * n) in
-            Bytes.set b (pos / 8)
-              (Char.chr
-                 (Char.code (Bytes.get b (pos / 8)) lxor (1 lsl (pos mod 8))));
-            Bytes.to_string b
-          end
-        in
-        decodes_safely c truncated && decodes_safely c flipped)
+        List.for_all (decodes_safely c) (mutations (Codec.encode c v) cut bit))
   in
   let roundtrips (P (name, arb, c)) =
     (* structural compare so NaN = NaN *)
@@ -524,12 +635,53 @@ let fuzz_tests =
   in
   let lossless =
     List.filter
-      (fun (P (n, _, _)) -> n <> "float32" && n <> "float32_array")
+      (fun (P (n, _, _)) ->
+        not (List.mem n [ "float32"; "float32_array"; "lp-float" ]))
       packed_codecs
   in
   List.map raw packed_codecs
   @ List.map mutated packed_codecs
   @ List.map roundtrips lossless
+
+(* Byte-identity oracle: the direct-writer codecs emit exactly the
+   reference combinators' bytes, and decode exactly as they do — the same
+   value, or both a Decode_error — on random and mutated input. *)
+let oracle_tests =
+  let open QCheck in
+  let outcome_new c s =
+    match Codec.decode c s with
+    | v -> Some v
+    | exception Codec.Decode_error _ -> None
+  in
+  let outcome_ref c s =
+    match Codec_ref.decode c s with
+    | v -> Some v
+    | exception Codec_ref.Decode_error _ -> None
+  in
+  (* structural compare so NaN = NaN *)
+  let agree c r s = compare (outcome_new c s) (outcome_ref r s) = 0 in
+  let bytes (O (name, arb, c, r)) =
+    Test.make
+      ~name:("oracle: " ^ name ^ " encode matches reference")
+      ~count:300 arb
+      (fun v -> Codec.encode c v = Codec_ref.encode r v)
+  in
+  let random (O (name, _, c, r)) =
+    Test.make
+      ~name:("oracle: " ^ name ^ " decode agrees on random bytes")
+      ~count:500
+      (string_gen_of_size Gen.(0 -- 80) Gen.char)
+      (agree c r)
+  in
+  let mutated (O (name, arb, c, r)) =
+    Test.make
+      ~name:("oracle: " ^ name ^ " decode agrees on mutated encodings")
+      ~count:300
+      (triple arb small_nat small_nat)
+      (fun (v, cut, bit) ->
+        List.for_all (agree c r) (mutations (Codec_ref.encode r v) cut bit))
+  in
+  List.map bytes oracles @ List.map random oracles @ List.map mutated oracles
 
 (* Journal codec properties: lossless round-trip, and total torn-tail
    tolerant parsing under truncation and bit flips. *)
@@ -627,7 +779,7 @@ let journal_qcheck_tests =
 
 let qcheck_tests =
   let open QCheck in
-  fuzz_tests @ journal_qcheck_tests
+  fuzz_tests @ oracle_tests @ journal_qcheck_tests
   @ [
     Test.make ~name:"codec: int roundtrip" ~count:1000 int (fun n ->
         roundtrip Codec.int n = n);
@@ -675,6 +827,7 @@ let () =
           Alcotest.test_case "truncated input" `Quick test_codec_truncated_input;
           Alcotest.test_case "trailing garbage" `Quick test_codec_trailing_garbage;
           Alcotest.test_case "adversarial lengths" `Quick test_codec_adversarial_lengths;
+          Alcotest.test_case "sparse cells" `Quick test_codec_sparse_cells;
           Alcotest.test_case "map" `Quick test_codec_map;
         ] );
       ( "transcript",

@@ -266,34 +266,34 @@ let test_lp_rejects_bad_p () =
 let test_one_sparse_zero () =
   let rng = Prng.create 18 in
   let spec = One_sparse.spec rng in
-  let c = One_sparse.fresh () in
-  (match One_sparse.decode spec c with
+  let c = One_sparse.make 1 in
+  (match One_sparse.decode spec c 0 with
   | One_sparse.Zero -> ()
   | _ -> Alcotest.fail "fresh cell should decode Zero");
-  check Alcotest.bool "is_zero" true (One_sparse.is_zero c)
+  check Alcotest.bool "is_zero" true (One_sparse.is_zero c 0)
 
 let test_one_sparse_singleton () =
   let rng = Prng.create 19 in
   let spec = One_sparse.spec rng in
-  let c = One_sparse.fresh () in
-  One_sparse.update spec c 42 7;
-  (match One_sparse.decode spec c with
+  let c = One_sparse.make 1 in
+  One_sparse.update spec c 0 42 7;
+  (match One_sparse.decode spec c 0 with
   | One_sparse.One (42, 7) -> ()
   | _ -> Alcotest.fail "should recover (42,7)");
   (* negative values too *)
-  let c2 = One_sparse.fresh () in
-  One_sparse.update spec c2 13 (-5);
-  match One_sparse.decode spec c2 with
+  let c2 = One_sparse.make 1 in
+  One_sparse.update spec c2 0 13 (-5);
+  match One_sparse.decode spec c2 0 with
   | One_sparse.One (13, -5) -> ()
   | _ -> Alcotest.fail "should recover (13,-5)"
 
 let test_one_sparse_cancellation_back_to_zero () =
   let rng = Prng.create 20 in
   let spec = One_sparse.spec rng in
-  let c = One_sparse.fresh () in
-  One_sparse.update spec c 42 7;
-  One_sparse.update spec c 42 (-7);
-  match One_sparse.decode spec c with
+  let c = One_sparse.make 1 in
+  One_sparse.update spec c 0 42 7;
+  One_sparse.update spec c 0 42 (-7);
+  match One_sparse.decode spec c 0 with
   | One_sparse.Zero -> ()
   | _ -> Alcotest.fail "cancel to zero"
 
@@ -302,10 +302,10 @@ let test_one_sparse_many () =
   let spec = One_sparse.spec rng in
   let misdecodes = ref 0 in
   for trial = 1 to 500 do
-    let c = One_sparse.fresh () in
-    One_sparse.update spec c (trial mod 97) 3;
-    One_sparse.update spec c ((trial mod 89) + 100) 5;
-    match One_sparse.decode spec c with
+    let c = One_sparse.make 1 in
+    One_sparse.update spec c 0 (trial mod 97) 3;
+    One_sparse.update spec c 0 ((trial mod 89) + 100) 5;
+    match One_sparse.decode spec c 0 with
     | One_sparse.Many -> ()
     | _ -> incr misdecodes
   done;
@@ -322,22 +322,22 @@ let test_one_sparse_symmetric_patterns () =
     let spec = One_sparse.spec rng in
     let gap = 2 * (1 + (trial mod 50)) in
     let i = trial mod 1000 in
-    let c = One_sparse.fresh () in
-    One_sparse.update spec c i 1;
-    One_sparse.update spec c (i + gap) 1;
-    (match One_sparse.decode spec c with
+    let c = One_sparse.make 1 in
+    One_sparse.update spec c 0 i 1;
+    One_sparse.update spec c 0 (i + gap) 1;
+    (match One_sparse.decode spec c 0 with
     | One_sparse.Many -> ()
     | _ -> incr misdecodes);
     (* Equal-size, equal-sum supports must not share a fingerprint-sum:
        a {i, i+3} vs {i+1, i+2} pair through a fresh cell pair. *)
-    let c1 = One_sparse.fresh () and c2 = One_sparse.fresh () in
-    One_sparse.update spec c1 i 1;
-    One_sparse.update spec c1 (i + 3) 1;
-    One_sparse.update spec c2 (i + 1) 1;
-    One_sparse.update spec c2 (i + 2) 1;
-    One_sparse.add_scaled c1 ~coeff:(-1) c2;
+    let c1 = One_sparse.make 1 and c2 = One_sparse.make 1 in
+    One_sparse.update spec c1 0 i 1;
+    One_sparse.update spec c1 0 (i + 3) 1;
+    One_sparse.update spec c2 0 (i + 1) 1;
+    One_sparse.update spec c2 0 (i + 2) 1;
+    One_sparse.add_scaled c1 0 ~coeff:(-1) c2 0;
     (* c1 - c2 is 4-sparse and nonzero; it must not decode Zero or One. *)
-    match One_sparse.decode spec c1 with
+    match One_sparse.decode spec c1 0 with
     | One_sparse.Many -> ()
     | _ -> incr misdecodes
   done;
@@ -346,12 +346,12 @@ let test_one_sparse_symmetric_patterns () =
 let test_one_sparse_add_scaled () =
   let rng = Prng.create 22 in
   let spec = One_sparse.spec rng in
-  let a = One_sparse.fresh () and b = One_sparse.fresh () in
-  One_sparse.update spec a 10 2;
-  One_sparse.update spec b 10 3;
-  (* a - ... combine: a + (-2)*b + 4e10... check linear combo decodes *)
-  One_sparse.add_scaled a ~coeff:2 b;
-  match One_sparse.decode spec a with
+  (* Two cells side by side in one flat array. *)
+  let cells = One_sparse.make 2 and a = 0 and b = One_sparse.stride in
+  One_sparse.update spec cells a 10 2;
+  One_sparse.update spec cells b 10 3;
+  One_sparse.add_scaled cells a ~coeff:2 cells b;
+  match One_sparse.decode spec cells a with
   | One_sparse.One (10, 8) -> ()
   | _ -> Alcotest.fail "2+2*3=8 at index 10"
 
@@ -661,9 +661,9 @@ let qcheck_tests =
         QCheck.assume (v <> 0);
         let rng = Prng.create (i + v) in
         let spec = One_sparse.spec rng in
-        let c = One_sparse.fresh () in
-        One_sparse.update spec c i v;
-        One_sparse.decode spec c = One_sparse.One (i, v));
+        let c = One_sparse.make 1 in
+        One_sparse.update spec c 0 i v;
+        One_sparse.decode spec c 0 = One_sparse.One (i, v));
     Test.make ~name:"s-sparse: decode inverts sketch (within budget)" ~count:100
       (make sparse_vec_gen) (fun vec ->
         let rng = Prng.create (Array.length vec + 17) in
