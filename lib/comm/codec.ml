@@ -50,21 +50,10 @@ let get_byte r =
   r.pos <- p + 1;
   Char.code (String.unsafe_get r.src p)
 
-(* LEB128 varint over the unsigned 63-bit interpretation of the int: [lsr]
-   is a logical shift, so negative bit patterns (from zigzag of huge ints)
-   encode and terminate correctly, in at most 9 bytes. *)
-let max_varint = 9
+let max_varint = Varint.max_bytes
 
 (* Caller has reserved [max_varint] bytes. *)
-let put_varbits w n =
-  let b = w.buf and p = ref w.len and n = ref n in
-  while !n land lnot 0x7f <> 0 do
-    Bytes.unsafe_set b !p (Char.unsafe_chr (0x80 lor (!n land 0x7f)));
-    incr p;
-    n := !n lsr 7
-  done;
-  Bytes.unsafe_set b !p (Char.unsafe_chr !n);
-  w.len <- !p + 1
+let put_varbits w n = w.len <- Varint.put_at w.buf w.len n
 
 let put_uvarint w n =
   if n < 0 then invalid_arg "Codec.uint: negative";
@@ -78,7 +67,8 @@ let enc_uvarint w n =
   reserve w max_varint;
   put_uvarint w n
 
-let dec_uvarint r =
+(* [Varint]'s format read through the cursor, raising [Decode_error]. *)
+let dec_uvarint_loop r =
   let s = r.src in
   let len = String.length s in
   let p = ref r.pos and acc = ref 0 and shift = ref 0 and fin = ref false in
@@ -93,6 +83,16 @@ let dec_uvarint r =
   done;
   r.pos <- !p;
   !acc
+
+(* Inlined, so every call site checks the one-byte case (< 128) itself. *)
+let dec_uvarint r =
+  let s = r.src and p = r.pos in
+  if p < String.length s && Char.code (String.unsafe_get s p) < 0x80 then begin
+    r.pos <- p + 1;
+    Char.code (String.unsafe_get s p)
+  end
+  else dec_uvarint_loop r
+[@@inline]
 
 (* A 9-byte varint can set bit 63 and come out negative; every unsigned
    context (values, lengths, deltas) must reject that rather than feed a
@@ -118,8 +118,8 @@ let dec_dense_length r ~words_per what =
     dec_fail (what ^ ": dense length exceeds cap");
   n
 
-let zigzag n = (n lsl 1) lxor (n asr 62)
-let unzigzag z = (z lsr 1) lxor (-(z land 1))
+let zigzag = Varint.zigzag
+let unzigzag = Varint.unzigzag
 
 let unit = { enc = (fun _ () -> ()); dec = (fun _ -> ()) }
 
@@ -264,33 +264,40 @@ let list c =
         List.rev !acc);
   }
 
-(* Varint arrays reserve the worst case for the whole array up front. *)
-let varint_array ~put ~get =
+(* Varint arrays reserve the worst case for the whole array up front and
+   keep the write cursor in a local. [signed] is a constant of each codec,
+   so the per-element branches on it always go the same way. *)
+let varint_array ~signed =
   {
     enc =
       (fun w a ->
         let n = Array.length a in
         reserve w (max_varint * (n + 1));
         put_uvarint w n;
+        let b = w.buf and p = ref w.len in
         for i = 0 to n - 1 do
-          put w (Array.unsafe_get a i)
-        done);
+          let x = Array.unsafe_get a i in
+          let x =
+            if signed then zigzag x
+            else if x < 0 then invalid_arg "Codec.uint: negative"
+            else x
+          in
+          p := Varint.put_at b !p x
+        done;
+        w.len <- !p);
     dec =
       (fun r ->
         let n = dec_count r "Codec.array" in
         let a = Array.make n 0 in
         for i = 0 to n - 1 do
-          Array.unsafe_set a i (get r)
+          Array.unsafe_set a i
+            (if signed then unzigzag (dec_uvarint r) else dec_unonneg r)
         done;
         a);
   }
 
-let int_array =
-  varint_array
-    ~put:(fun w n -> put_varbits w (zigzag n))
-    ~get:(fun r -> unzigzag (dec_uvarint r))
-
-let uint_array = varint_array ~put:put_uvarint ~get:dec_unonneg
+let int_array = varint_array ~signed:true
+let uint_array = varint_array ~signed:false
 
 let sorted_int_array =
   {
@@ -351,30 +358,41 @@ let sparse_int_vec =
           r);
   }
 
-let fixed_float_array ~width ~put ~get =
+(* Fixed-width float arrays: one length check for the whole run of
+   elements before the array is allocated, then unboxed stores and loads.
+   [wide] (float64, else float32) is a constant of each codec. *)
+let fixed_float_array ~wide =
+  let width = if wide then 8 else 4 in
   {
     enc =
       (fun w a ->
         let n = Array.length a in
         reserve w (max_varint + (width * n));
         put_uvarint w n;
+        let b = w.buf and p = w.len in
         for i = 0 to n - 1 do
-          put w (Array.unsafe_get a i)
-        done);
+          let f = Array.unsafe_get a i and at = p + (width * i) in
+          if wide then Bytes.set_int64_le b at (Int64.bits_of_float f)
+          else Bytes.set_int32_le b at (Int32.bits_of_float f)
+        done;
+        w.len <- p + (width * n));
     dec =
       (fun r ->
         let n = dec_count r "Codec.array" in
-        let a = Array.make n 0.0 in
+        let p = take r (width * n) in
+        let s = r.src in
+        let a = Array.create_float n in
         for i = 0 to n - 1 do
-          Array.unsafe_set a i (get r)
+          let at = p + (width * i) in
+          Array.unsafe_set a i
+            (if wide then Int64.float_of_bits (String.get_int64_le s at)
+             else Int32.float_of_bits (String.get_int32_le s at))
         done;
         a);
   }
 
-let float_array = fixed_float_array ~width:8 ~put:put_float64 ~get:get_float64
-
-let float32_array =
-  fixed_float_array ~width:4 ~put:put_float32 ~get:get_float32
+let float_array = fixed_float_array ~wide:true
+let float32_array = fixed_float_array ~wide:false
 
 let bytes =
   {

@@ -24,100 +24,69 @@ let version = '\x01'
 let entry_tag = 'M'
 let trace_tag = 'T'
 
-(* --- varints (local: Codec frames whole values, we need raw fields) --- *)
+(* --- raw fields --------------------------------------------------------- *)
 
-let put_uvarint buf n =
-  let n = ref n in
-  let continue = ref true in
-  while !continue do
-    let b = !n land 0x7f in
-    n := !n lsr 7;
-    if !n = 0 then begin
-      Buffer.add_char buf (Char.chr b);
-      continue := false
-    end
-    else Buffer.add_char buf (Char.chr (b lor 0x80))
-  done
-
-let put_zigzag buf n = put_uvarint buf ((n lsl 1) lxor (n asr (Sys.int_size - 1)))
-
-(* Reader over a string; [None] on any malformed field. *)
-let get_uvarint s pos =
-  let len = String.length s in
-  let rec go p shift acc =
-    if p >= len || shift > 63 then None
-    else
-      let b = Char.code s.[p] in
-      let acc = acc lor ((b land 0x7f) lsl shift) in
-      if b land 0x80 = 0 then Some (acc, p + 1) else go (p + 1) (shift + 7) acc
-  in
-  go pos 0 0
+(* Readers over a string; [None] on any malformed field. *)
+let get_uvarint s pos = Varint.get_at s pos (String.length s)
 
 let get_zigzag s pos =
   match get_uvarint s pos with
   | None -> None
-  | Some (u, p) -> Some ((u lsr 1) lxor (-(u land 1)), p)
+  | Some (u, p) -> Some (Varint.unzigzag u, p)
+
+(* [n] bytes at [pos] lie inside [s]; written to be overflow-free for any
+   decoded length. *)
+let fits s pos n = n >= 0 && n <= String.length s - pos
 
 let get_bytes s pos n =
-  if n < 0 || pos + n > String.length s then None
-  else Some (String.sub s pos n, pos + n)
+  if fits s pos n then Some (String.sub s pos n, pos + n) else None
+
+let get_crc32_le s pos = Int32.to_int (String.get_int32_le s pos) land 0xFFFFFFFF
 
 (* --- record bodies --------------------------------------------------- *)
 
 let sender_byte = function Transcript.Alice -> '\x00' | Transcript.Bob -> '\x01'
 
-let entry_body e =
-  let buf = Buffer.create (String.length e.payload + String.length e.label + 8) in
-  Buffer.add_char buf (sender_byte e.sender);
-  put_uvarint buf (String.length e.label);
-  Buffer.add_string buf e.label;
-  put_uvarint buf (String.length e.payload);
-  Buffer.add_string buf e.payload;
-  Buffer.contents buf
-
-let crc32 e = Reliable.crc32 (entry_body e)
-
-let crc32_of_le crc_bytes =
-  Char.code crc_bytes.[0]
-  lor (Char.code crc_bytes.[1] lsl 8)
-  lor (Char.code crc_bytes.[2] lsl 16)
-  lor (Char.code crc_bytes.[3] lsl 24)
-
-let add_crc32_le buf c =
-  Buffer.add_char buf (Char.chr (c land 0xff));
-  Buffer.add_char buf (Char.chr ((c lsr 8) land 0xff));
-  Buffer.add_char buf (Char.chr ((c lsr 16) land 0xff));
-  Buffer.add_char buf (Char.chr ((c lsr 24) land 0xff))
-
+(* One buffer: tag, body, then the CRC of the body computed in place. *)
 let entry_record e =
-  let body = entry_body e in
-  let buf = Buffer.create (String.length body + 5) in
-  Buffer.add_char buf entry_tag;
-  Buffer.add_string buf body;
-  add_crc32_le buf (Reliable.crc32 body);
-  Buffer.contents buf
+  let llen = String.length e.label and plen = String.length e.payload in
+  let body_len =
+    1 + Varint.size llen + llen + Varint.size plen + plen
+  in
+  let b = Bytes.create (body_len + 5) in
+  Bytes.set b 0 entry_tag;
+  Bytes.set b 1 (sender_byte e.sender);
+  let p = Varint.put_at b 2 llen in
+  Bytes.blit_string e.label 0 b p llen;
+  let p = Varint.put_at b (p + llen) plen in
+  Bytes.blit_string e.payload 0 b p plen;
+  let crc = Reliable.crc32_sub (Bytes.unsafe_to_string b) 1 body_len in
+  Bytes.set_int32_le b (1 + body_len) (Int32.of_int crc);
+  Bytes.unsafe_to_string b
 
 (* Trace records are telemetry, not transcript: they let a resumed run
    link its spans back to the crashed run's trace, and replay ignores
    them entirely. Same tag+body+crc framing as entries. *)
 let trace_record tid =
-  let body = Buffer.create 8 in
-  Buffer.add_int64_le body tid;
-  let body = Buffer.contents body in
-  let buf = Buffer.create 13 in
-  Buffer.add_char buf trace_tag;
-  Buffer.add_string buf body;
-  add_crc32_le buf (Reliable.crc32 body);
-  Buffer.contents buf
+  let b = Bytes.create 13 in
+  Bytes.set b 0 trace_tag;
+  Bytes.set_int64_le b 1 tid;
+  let crc = Reliable.crc32_sub (Bytes.unsafe_to_string b) 1 8 in
+  Bytes.set_int32_le b 9 (Int32.of_int crc);
+  Bytes.unsafe_to_string b
 
 let header ~protocol ~seed =
-  let buf = Buffer.create (String.length protocol + 16) in
-  Buffer.add_string buf magic;
-  Buffer.add_char buf version;
-  put_uvarint buf (String.length protocol);
-  Buffer.add_string buf protocol;
-  put_zigzag buf seed;
-  Buffer.contents buf
+  let plen = String.length protocol and z = Varint.zigzag seed in
+  let mlen = String.length magic in
+  let b =
+    Bytes.create (mlen + 1 + Varint.size plen + plen + Varint.size z)
+  in
+  Bytes.blit_string magic 0 b 0 mlen;
+  Bytes.set b mlen version;
+  let p = Varint.put_at b (mlen + 1) plen in
+  Bytes.blit_string protocol 0 b p plen;
+  ignore (Varint.put_at b (p + plen) z);
+  Bytes.unsafe_to_string b
 
 let to_bytes ~protocol ~seed entries =
   let buf = Buffer.create 1024 in
@@ -128,49 +97,41 @@ let to_bytes ~protocol ~seed entries =
 (* --- parsing --------------------------------------------------------- *)
 
 let parse_entry s pos =
-  (* [None] = this record (and hence the rest of the log) is unusable. *)
+  (* [None] = this record (and hence the rest of the log) is unusable.
+     Field extents are found first and the CRC checked in place; label and
+     payload are copied only from a record that checks. *)
   if pos >= String.length s || s.[pos] <> entry_tag then None
   else
     let body_start = pos + 1 in
     match get_uvarint s (body_start + 1) with
-    | None -> None
-    | Some (label_len, p) -> (
-        match get_bytes s p label_len with
-        | None -> None
-        | Some (label, p) -> (
-            match get_uvarint s p with
-            | None -> None
-            | Some (payload_len, p) -> (
-                match get_bytes s p payload_len with
-                | None -> None
-                | Some (payload, body_end) -> (
-                    let sender =
-                      match s.[body_start] with
-                      | '\x00' -> Some Transcript.Alice
-                      | '\x01' -> Some Transcript.Bob
-                      | _ -> None
-                    in
-                    match (sender, get_bytes s body_end 4) with
-                    | Some sender, Some (crc_bytes, next) ->
-                        let stored = crc32_of_le crc_bytes in
-                        let body =
-                          String.sub s body_start (body_end - body_start)
-                        in
-                        if Reliable.crc32 body <> stored then None
-                        else Some ({ sender; label; payload }, next)
-                    | _ -> None))))
+    | Some (label_len, label_at) when fits s label_at label_len -> (
+        match get_uvarint s (label_at + label_len) with
+        | Some (payload_len, payload_at) when fits s payload_at payload_len
+          -> (
+            let body_end = payload_at + payload_len in
+            let sender =
+              match s.[body_start] with
+              | '\x00' -> Some Transcript.Alice
+              | '\x01' -> Some Transcript.Bob
+              | _ -> None
+            in
+            match sender with
+            | Some sender
+              when fits s body_end 4
+                   && Reliable.crc32_sub s body_start (body_end - body_start)
+                      = get_crc32_le s body_end ->
+                let label = String.sub s label_at label_len in
+                let payload = String.sub s payload_at payload_len in
+                Some ({ sender; label; payload }, body_end + 4)
+            | _ -> None)
+        | _ -> None)
+    | _ -> None
 
 let parse_trace s pos =
-  if pos >= String.length s || s.[pos] <> trace_tag then None
-  else
-    match get_bytes s (pos + 1) 8 with
-    | None -> None
-    | Some (body, p) -> (
-        match get_bytes s p 4 with
-        | None -> None
-        | Some (crc_bytes, next) ->
-            if Reliable.crc32 body <> crc32_of_le crc_bytes then None
-            else Some (String.get_int64_le body 0, next))
+  if pos >= String.length s || s.[pos] <> trace_tag || not (fits s (pos + 1) 12)
+  then None
+  else if Reliable.crc32_sub s (pos + 1) 8 <> get_crc32_le s (pos + 9) then None
+  else Some (String.get_int64_le s (pos + 1), pos + 13)
 
 let of_bytes s =
   let mlen = String.length magic in

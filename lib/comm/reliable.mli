@@ -49,7 +49,12 @@ val parse : string -> (kind * int * string, string) result
     get through). *)
 
 val crc32 : string -> int
-(** IEEE CRC32 (the zlib/PNG polynomial), exposed for tests. *)
+(** IEEE CRC32 (the zlib/PNG polynomial): [crc32_sub s 0 (String.length s)]. *)
+
+val crc32_sub : string -> int -> int -> int
+(** [crc32_sub s off len] is the CRC32 of [String.sub s off len], computed
+    in place (slicing-by-8, no copy). Raises [Invalid_argument] unless
+    [0 <= off], [0 <= len] and [off + len <= String.length s]. *)
 
 val overhead : seq:int -> payload_bytes:int -> int
 (** Framing bytes added to a payload of the given size at the given

@@ -13,52 +13,45 @@ let fail fmt = Printf.ksprintf (fun s -> raise (Frame_error s)) fmt
      payload
      crc   : 4 bytes, big-endian — CRC32 (IEEE) over flags..payload *)
 
-let put_u32 buf v =
-  Buffer.add_char buf (Char.chr ((v lsr 24) land 0xff));
-  Buffer.add_char buf (Char.chr ((v lsr 16) land 0xff));
-  Buffer.add_char buf (Char.chr ((v lsr 8) land 0xff));
-  Buffer.add_char buf (Char.chr (v land 0xff))
-
 let get_u32 s off =
   (Char.code s.[off] lsl 24)
   lor (Char.code s.[off + 1] lsl 16)
   lor (Char.code s.[off + 2] lsl 8)
   lor Char.code s.[off + 3]
 
+(* One buffer: prefix, flags, ctx and payload, then the CRC over
+   flags..payload computed in place. *)
 let frame payload =
   let ctx = if Trace.enabled () then Trace.context_frame () else "" in
-  let flags = if ctx = "" then 0 else 1 in
-  let body = Buffer.create (String.length payload + String.length ctx + 1) in
-  Buffer.add_char body (Char.chr flags);
-  Buffer.add_string body ctx;
-  Buffer.add_string body payload;
-  let body = Buffer.contents body in
-  let len = String.length body + 4 in
+  let clen = String.length ctx and plen = String.length payload in
+  let len = 1 + clen + plen + 4 in
   if len > max_frame_bytes then
-    fail "frame: payload of %d bytes exceeds max_frame_bytes"
-      (String.length payload);
-  let out = Buffer.create (len + 4) in
-  put_u32 out len;
-  Buffer.add_string out body;
-  put_u32 out (Reliable.crc32 body);
-  Buffer.contents out
+    fail "frame: payload of %d bytes exceeds max_frame_bytes" plen;
+  let b = Bytes.create (4 + len) in
+  Bytes.set_int32_be b 0 (Int32.of_int len);
+  Bytes.set b 4 (if clen = 0 then '\000' else '\001');
+  Bytes.blit_string ctx 0 b 5 clen;
+  Bytes.blit_string payload 0 b (5 + clen) plen;
+  let crc = Reliable.crc32_sub (Bytes.unsafe_to_string b) 4 (len - 4) in
+  Bytes.set_int32_be b len (Int32.of_int crc);
+  Bytes.unsafe_to_string b
 
-(* [body] is everything after the length prefix: flags..payload ++ crc. *)
-let decode_body body =
-  let n = String.length body in
+(* The body is [s.[off .. off+n-1]], everything after the length prefix:
+   flags..payload ++ crc. The CRC is checked in place; only the payload
+   (and the context, when present) is copied out. *)
+let decode_body s off n =
   if n < 5 then fail "frame: body of %d bytes is shorter than flags+crc" n;
-  let checked = String.sub body 0 (n - 4) in
-  let crc = get_u32 body (n - 4) in
-  if Reliable.crc32 checked <> crc then fail "frame: CRC mismatch";
-  let flags = Char.code checked.[0] in
+  let checked = n - 4 in
+  if Reliable.crc32_sub s off checked <> get_u32 s (off + checked) then
+    fail "frame: CRC mismatch";
+  let flags = Char.code s.[off] in
   if flags land lnot 1 <> 0 then fail "frame: unknown flags 0x%02x" flags;
   let ctx_len = if flags land 1 = 1 then Trace.context_frame_length else 0 in
-  if String.length checked < 1 + ctx_len then
-    fail "frame: truncated telemetry context";
+  if checked < 1 + ctx_len then fail "frame: truncated telemetry context";
   let ctx =
-    if ctx_len = 0 then None else Some (String.sub checked 1 ctx_len)
+    if ctx_len = 0 then None else Some (String.sub s (off + 1) ctx_len)
   in
-  (String.sub checked (1 + ctx_len) (String.length checked - 1 - ctx_len), ctx)
+  (String.sub s (off + 1 + ctx_len) (checked - 1 - ctx_len), ctx)
 
 let unframe s =
   if String.length s < 4 then fail "frame: missing length prefix";
@@ -66,7 +59,7 @@ let unframe s =
   if len > max_frame_bytes then fail "frame: declared length %d too large" len;
   if String.length s <> 4 + len then
     fail "frame: declared length %d, have %d bytes" len (String.length s - 4);
-  decode_body (String.sub s 4 len)
+  decode_body s 4 len
 
 (* Blocking, full-buffer socket I/O for the serve daemon. *)
 
@@ -98,7 +91,7 @@ let read_frame_ctx fd =
   let hdr = read_exact fd 4 ~what:`Header in
   let len = get_u32 hdr 0 in
   if len > max_frame_bytes then fail "frame: declared length %d too large" len;
-  decode_body (read_exact fd len ~what:`Body)
+  decode_body (read_exact fd len ~what:`Body) 0 len
 
 let read_frame fd = fst (read_frame_ctx fd)
 
@@ -167,20 +160,11 @@ module Tcp = struct
     let out_b = Bytes.unsafe_of_string out in
     let total = Bytes.length out_b in
     let sent = ref 0 in
-    let acc = Buffer.create (total + 16) in
-    let inbuf = Bytes.create chunk in
-    (* The frame is complete once we hold the 4-byte prefix plus the
-       declared body length. *)
-    let missing () =
-      let have = Buffer.length acc in
-      if have < 4 then 4 - have
-      else begin
-        let len = get_u32 (Buffer.sub acc 0 4) 0 in
-        if len > max_frame_bytes then
-          fail "frame: declared length %d too large" len;
-        4 + len - have
-      end
-    in
+    (* Receive the 4-byte prefix first, then the rest of the frame
+       straight into a buffer of exactly the declared size. *)
+    let inbuf = ref (Bytes.create 4) in
+    let have = ref 0 in
+    let missing () = Bytes.length !inbuf - !have in
     let rec pump () =
       let need = missing () in
       let writing = !sent < total in
@@ -195,16 +179,24 @@ module Tcp = struct
           sent := !sent + n
         end;
         if r <> [] then begin
-          let n = Unix.read rfd inbuf 0 chunk in
+          let n = Unix.read rfd !inbuf !have (min chunk need) in
           if n = 0 then fail "tcp: peer closed mid-frame (label %s)" label;
-          Buffer.add_subbytes acc inbuf 0 n
+          have := !have + n;
+          if !have = 4 && Bytes.length !inbuf = 4 then begin
+            let len = get_u32 (Bytes.unsafe_to_string !inbuf) 0 in
+            if len > max_frame_bytes then
+              fail "frame: declared length %d too large" len;
+            let full = Bytes.create (4 + len) in
+            Bytes.blit !inbuf 0 full 0 4;
+            inbuf := full
+          end
         end;
         pump ()
       end
     in
     pump ();
     c.delivered <- c.delivered + 1;
-    fst (unframe (Buffer.contents acc))
+    fst (unframe (Bytes.unsafe_to_string !inbuf))
 end
 
 let tcp_loopback () =

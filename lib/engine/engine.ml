@@ -503,6 +503,34 @@ let query_of_string spec =
         (Printf.sprintf
            "unknown query %S (norm|frob|rows|top|l0|l1|hh|linf|exact)" other)
 
+(* The entries [(rs.(i), cs.(i), vs.(i))] with equal (row, col) summed,
+   zero sums dropped, in (row, col) order: the entry indices are sorted by
+   (row, col), then each run of equal keys is summed. *)
+let sum_entries rs cs vs =
+  let n = Array.length rs in
+  let order = Array.init n Fun.id in
+  Array.stable_sort
+    (fun i j ->
+      match Int.compare rs.(i) rs.(j) with
+      | 0 -> Int.compare cs.(i) cs.(j)
+      | c -> c)
+    order;
+  (* Runs of equal keys, walked from the back so the list builds in
+     order. *)
+  let acc = ref [] and i = ref (n - 1) in
+  while !i >= 0 do
+    let j = order.(!i) in
+    let r = rs.(j) and c = cs.(j) in
+    let sum = ref vs.(j) in
+    decr i;
+    while !i >= 0 && rs.(order.(!i)) = r && cs.(order.(!i)) = c do
+      sum := !sum + vs.(order.(!i));
+      decr i
+    done;
+    if !sum <> 0 then acc := (r, c, !sum) :: !acc
+  done;
+  !acc
+
 (* Fleet merge: combine per-shard answers to one query into the answer over
    the full row space. Shard products occupy disjoint row blocks of C, so
    every merge is exact on the covered rows; sample slots are re-drawn by a
@@ -620,22 +648,30 @@ let merge_answers ~seed ~rows query parts =
       in
       Entry_set (List.sort_uniq compare all)
   | Exact_product ->
-      let tbl = Hashtbl.create 64 in
+      let count =
+        List.fold_left
+          (fun acc (_, _, ans) ->
+            match ans with
+            | Shares (alice, bob) -> acc + List.length alice + List.length bob
+            | _ -> shape_error ())
+          0 parts
+      in
+      let rs = Array.make count 0
+      and cs = Array.make count 0
+      and vs = Array.make count 0 in
+      let k = ref 0 in
+      let add offset (r, c, v) =
+        rs.(!k) <- r + offset;
+        cs.(!k) <- c;
+        vs.(!k) <- v;
+        incr k
+      in
       List.iter
         (fun (offset, _, ans) ->
           match ans with
           | Shares (alice, bob) ->
-              List.iter
-                (fun (r, c, v) ->
-                  let key = (r + offset, c) in
-                  let cur = try Hashtbl.find tbl key with Not_found -> 0 in
-                  Hashtbl.replace tbl key (cur + v))
-                (alice @ bob)
+              List.iter (add offset) alice;
+              List.iter (add offset) bob
           | _ -> shape_error ())
         parts;
-      let entries =
-        Hashtbl.fold
-          (fun (r, c) v acc -> if v = 0 then acc else (r, c, v) :: acc)
-          tbl []
-      in
-      Shares (List.sort compare entries, [])
+      Shares (sum_entries rs cs vs, [])

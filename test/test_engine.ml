@@ -343,6 +343,76 @@ let test_query_specs () =
   | Ok (Engine.Top_rows { k = 7; _ }) -> ()
   | _ -> Alcotest.fail "defaults should fill unset keys"
 
+(* Reference oracle for the fleet's exact-share merge: the hash-table sum
+   over (row + offset, col) that the sort merge replaced. *)
+let merge_exact_reference parts =
+  let tbl = Hashtbl.create 64 in
+  List.iter
+    (fun (offset, _, ans) ->
+      match ans with
+      | Engine.Shares (alice, bob) ->
+          List.iter
+            (fun (r, c, v) ->
+              let key = (r + offset, c) in
+              let cur = try Hashtbl.find tbl key with Not_found -> 0 in
+              Hashtbl.replace tbl key (cur + v))
+            (alice @ bob)
+      | _ -> invalid_arg "merge_exact_reference: not shares")
+    parts;
+  let entries =
+    Hashtbl.fold
+      (fun (r, c) v acc -> if v = 0 then acc else (r, c, v) :: acc)
+      tbl []
+  in
+  Engine.Shares (List.sort compare entries, [])
+
+let merge_props =
+  let open QCheck in
+  (* Coordinates: mostly a few rows/cols around each part (rows may fall
+     outside the part's range, keys collide between alice and bob and,
+     through overlapping offsets, across parts), sometimes far apart or at
+     the int extremes, where a subtracting comparator would overflow. *)
+  let coord =
+    Gen.(
+      frequency
+        [
+          (12, int_range (-2) 6);
+          (1, oneofl [ min_int; max_int; -1_000_000_007; 1 lsl 40 ]);
+        ])
+  in
+  let entry = Gen.(triple coord coord (int_range (-3) 3)) in
+  let part =
+    Gen.(
+      map
+        (fun ((offset, length), (alice, bob)) ->
+          (offset, length, Engine.Shares (alice, bob)))
+        (pair
+           (pair (int_range 0 6) (int_range 1 4))
+           (pair (list_size (0 -- 12) entry) (list_size (0 -- 12) entry))))
+  in
+  let print parts =
+    String.concat "; "
+      (List.map
+         (fun (o, l, ans) ->
+           match ans with
+           | Engine.Shares (a, b) ->
+               let show es =
+                 String.concat ","
+                   (List.map (fun (r, c, v) -> Printf.sprintf "(%d,%d,%d)" r c v) es)
+               in
+               Printf.sprintf "off=%d len=%d alice=[%s] bob=[%s]" o l (show a)
+                 (show b)
+           | _ -> "?")
+         parts)
+  in
+  [
+    Test.make ~name:"exact merge equals the hash-table reference" ~count:1000
+      (make ~print Gen.(list_size (1 -- 4) part))
+      (fun parts ->
+        Engine.merge_answers ~seed:0 ~rows:16 Engine.Exact_product parts
+        = merge_exact_reference parts);
+  ]
+
 let () =
   Alcotest.run "engine"
     [
@@ -370,6 +440,7 @@ let () =
             test_journal_resume_mid_batch;
           Alcotest.test_case "run_safe trichotomy" `Quick test_run_safe;
         ] );
+      ("merge properties", List.map QCheck_alcotest.to_alcotest merge_props);
       ( "edges",
         [
           Alcotest.test_case "degenerate batches" `Quick test_edge_cases;

@@ -13,6 +13,7 @@ module Imat = Matprod_matrix.Imat
 module Workload = Matprod_workload.Workload
 module Fault = Matprod_comm.Fault
 module Reliable = Matprod_comm.Reliable
+module Transport = Matprod_comm.Transport
 module Channel = Matprod_comm.Channel
 module Ctx = Matprod_comm.Ctx
 module Transcript = Matprod_comm.Transcript
@@ -886,6 +887,154 @@ let test_crc32_vectors () =
     (Reliable.crc32 "123456789");
   check Alcotest.int "crc32 empty" 0 (Reliable.crc32 "")
 
+(* Reference oracle: the bytewise table-driven CRC32 that the sliced
+   kernel replaced. *)
+let crc32_bytewise =
+  let table =
+    Array.init 256 (fun n ->
+        let c = ref n in
+        for _ = 0 to 7 do
+          c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+        done;
+        !c)
+  in
+  fun s ->
+    let c = ref 0xFFFFFFFF in
+    String.iter
+      (fun ch -> c := table.((!c lxor Char.code ch) land 0xff) lxor (!c lsr 8))
+      s;
+    !c lxor 0xFFFFFFFF
+
+(* Every offset 0..8 (misaligned starts) against every length 0..40
+   (every tail length mod 8, with and without whole 8-byte blocks). *)
+let test_crc32_sub_sweep () =
+  let s = String.init 64 (fun i -> Char.chr (((i * 151) + 7) land 0xff)) in
+  for off = 0 to 8 do
+    for len = 0 to 40 do
+      let want = crc32_bytewise (String.sub s off len) in
+      if Reliable.crc32_sub s off len <> want then
+        Alcotest.failf "crc32_sub off=%d len=%d disagrees with bytewise" off len
+    done
+  done;
+  check Alcotest.int "crc32 = crc32_sub whole" (crc32_bytewise s) (Reliable.crc32 s)
+
+let crc_props =
+  let open QCheck in
+  (* (string, off, len): [len] = 8 * blocks + tail with every tail mod 8,
+     [off] misaligned, and up to 9 spare bytes after the range. *)
+  let window =
+    Gen.(
+      map
+        (fun ((off, blocks, tail), (spare, seed)) ->
+          let len = (8 * blocks) + tail in
+          let rng = Random.State.make [| seed |] in
+          ( String.init (off + len + spare) (fun _ ->
+                Char.chr (Random.State.int rng 256)),
+            off,
+            len ))
+        (pair
+           (triple (int_bound 15) (int_bound 40) (int_bound 7))
+           (pair (int_bound 9) int)))
+  in
+  let print (s, off, len) =
+    Printf.sprintf "|s|=%d off=%d len=%d" (String.length s) off len
+  in
+  (* (string, off, len) with [(off, len)] outside the string. *)
+  let outside =
+    Gen.(
+      map
+        (fun (size, kind, k) ->
+          let s = String.make size 'x' in
+          let off, len =
+            match kind with
+            | 0 -> (-1 - k, 0)
+            | 1 -> (0, -1 - k)
+            | 2 -> (size + 1 + k, 0)
+            | 3 -> (k mod (size + 1), size + 1 - (k mod (size + 1)))
+            | _ -> (1 + (k mod (size + 1)), max_int)
+          in
+          (s, off, len))
+        (triple (int_bound 40) (int_bound 4) (int_bound 1000)))
+  in
+  [
+    Test.make ~name:"crc32_sub equals bytewise CRC32 of the substring"
+      ~count:1000 (make ~print window) (fun (s, off, len) ->
+        Reliable.crc32_sub s off len = crc32_bytewise (String.sub s off len));
+    Test.make ~name:"crc32_sub rejects ranges outside the string" ~count:500
+      (make ~print outside) (fun (s, off, len) ->
+        match Reliable.crc32_sub s off len with
+        | _ -> false
+        | exception Invalid_argument _ -> true);
+  ]
+
+(* A payload one 64 KiB Tcp read chunk and a bit long, not a multiple of
+   8 bytes: one flipped bit at every byte position of its frame must be
+   refused, and of its journal record must end the log at the record
+   before it. *)
+let big_payload =
+  let rng = Random.State.make [| 64 |] in
+  String.init (65536 + 13) (fun _ -> Char.chr (Random.State.int rng 256))
+
+(* [k i corrupt] sees [s] with one bit of byte [i] flipped, for every
+   [i >= from]: bit [i mod 8], and every bit in turn in the first and last
+   8 bytes (length, flags, tags and CRC fields live there). One buffer is
+   flipped and restored in place: the decoders under test copy what they
+   return and keep no reference. *)
+let flip_each_byte s ~from k =
+  let b = Bytes.of_string s in
+  let n = Bytes.length b in
+  for i = from to n - 1 do
+    let orig = Bytes.get b i in
+    let bits =
+      if i < from + 8 || i >= n - 8 then [ 0; 1; 2; 3; 4; 5; 6; 7 ]
+      else [ i mod 8 ]
+    in
+    List.iter
+      (fun bit ->
+        Bytes.set b i (Char.chr (Char.code orig lxor (1 lsl bit)));
+        k i (Bytes.unsafe_to_string b))
+      bits;
+    Bytes.set b i orig
+  done
+
+let test_frame_corruption_every_position () =
+  let f = Transport.frame big_payload in
+  check Alcotest.bool "unframe roundtrip" true
+    (fst (Transport.unframe f) = big_payload);
+  let tcp = Transport.tcp_loopback () in
+  Fun.protect
+    ~finally:(fun () -> Transport.close tcp)
+    (fun () ->
+      check Alcotest.bool "tcp delivers across read chunks" true
+        (Transport.deliver tcp ~from:Transcript.Alice ~label:"big" big_payload
+        = big_payload));
+  flip_each_byte f ~from:0 (fun i corrupt ->
+      match Transport.unframe corrupt with
+      | _ -> Alcotest.failf "frame flip at byte %d accepted" i
+      | exception Transport.Frame_error _ -> ())
+
+let test_journal_corruption_every_position () =
+  let small =
+    { Journal.sender = Transcript.Alice; label = "small"; payload = "abc" }
+  in
+  let big = { Journal.sender = Transcript.Bob; label = "big"; payload = big_payload } in
+  let good = Journal.to_bytes ~protocol:"p" ~seed:5 [ small ] in
+  let full = Journal.to_bytes ~protocol:"p" ~seed:5 [ small; big ] in
+  (match Journal.of_bytes full with
+  | Ok j when j.Journal.clean && j.Journal.entries = [ small; big ] -> ()
+  | _ -> Alcotest.fail "two-record journal does not roundtrip");
+  flip_each_byte full ~from:(String.length good) (fun i corrupt ->
+      match Journal.of_bytes corrupt with
+      | Ok j when (not j.Journal.clean) && j.Journal.entries = [ small ] -> ()
+      | _ -> Alcotest.failf "journal flip at byte %d not cut at the record" i);
+  (* A length field that decodes near max_int is a bad record, not an
+     exception. *)
+  let huge_label = good ^ "M\000\xfa\xff\xff\xff\xff\xff\xff\xff\x3f" in
+  match Journal.of_bytes huge_label with
+  | Ok j when (not j.Journal.clean) && j.Journal.entries = [ small ] -> ()
+  | Ok _ -> Alcotest.fail "huge label length: wrong prefix"
+  | Error e -> Alcotest.failf "huge label length: %s" e
+
 let test_frame_roundtrip_and_rejection () =
   let payload = "hello, wire" in
   let f = Reliable.data_frame ~seq:42 payload in
@@ -931,9 +1080,16 @@ let () =
             test_accounting_and_counters;
           Alcotest.test_case "rule scoping" `Quick test_rule_scoping;
           Alcotest.test_case "crc32 vectors" `Quick test_crc32_vectors;
+          Alcotest.test_case "crc32_sub offset/length sweep" `Quick
+            test_crc32_sub_sweep;
+          Alcotest.test_case "frame corruption at every position" `Quick
+            test_frame_corruption_every_position;
+          Alcotest.test_case "journal corruption at every position" `Quick
+            test_journal_corruption_every_position;
           Alcotest.test_case "frame rejection" `Quick
             test_frame_roundtrip_and_rejection;
         ] );
+      ("crc properties", List.map QCheck_alcotest.to_alcotest crc_props);
       ( "crash recovery",
         [
           Alcotest.test_case "crash then resume" `Quick test_crash_then_resume;
